@@ -82,6 +82,33 @@ func NewCatalog() *Catalog {
 	}
 }
 
+// Clone returns a deep copy of the catalog. Changes to either copy leave
+// the other untouched, so what-if replays (plan-change analysis toggling
+// an index) can run on a private copy while other goroutines read the
+// original.
+func (c *Catalog) Clone() *Catalog {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := &Catalog{
+		tables:      make(map[string]*Table, len(c.tables)),
+		indexes:     make(map[string]*Index, len(c.indexes)),
+		tablespaces: make(map[string]*Tablespace, len(c.tablespaces)),
+	}
+	for n, t := range c.tables {
+		cp := *t
+		out.tables[n] = &cp
+	}
+	for n, ix := range c.indexes {
+		cp := *ix
+		out.indexes[n] = &cp
+	}
+	for n, ts := range c.tablespaces {
+		cp := *ts
+		out.tablespaces[n] = &cp
+	}
+	return out
+}
+
 // AddTablespace registers a tablespace on a SAN volume.
 func (c *Catalog) AddTablespace(name string, volume topology.ID, mode StorageMode) {
 	c.mu.Lock()

@@ -215,3 +215,29 @@ func TestTablePages(t *testing.T) {
 		t.Fatalf("empty table should still have 1 page, got %d", p)
 	}
 }
+
+func TestCatalogCloneIsIndependent(t *testing.T) {
+	c := newTestCatalog(t)
+	cl := c.Clone()
+	if !cl.DropIndex(IdxPartsuppPart) {
+		t.Fatal("clone lost an index")
+	}
+	if err := cl.SetRows(TPart, 7); err != nil {
+		t.Fatal(err)
+	}
+	if ix, _ := c.Index(IdxPartsuppPart); ix.Dropped {
+		t.Fatal("dropping an index on the clone dropped it on the original")
+	}
+	if c.MustTable(TPart).Rows == 7 {
+		t.Fatal("changing rows on the clone changed the original")
+	}
+	if _, ok := cl.IndexOn(TPartsupp, "ps_partkey"); ok {
+		t.Fatal("clone still offers its dropped index")
+	}
+	if got, want := cl.Tables(), c.Tables(); len(got) != len(want) {
+		t.Fatalf("clone has %d tables, original %d", len(got), len(want))
+	}
+	if v, err := cl.VolumeOf(TPart); err != nil || v == "" {
+		t.Fatalf("clone lost tablespaces: %v %v", v, err)
+	}
+}

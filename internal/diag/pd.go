@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"diads/internal/exec"
+	"diads/internal/opt"
 	"diads/internal/plan"
 	"diads/internal/topology"
 )
@@ -109,28 +110,25 @@ func planWithSig(runs []*exec.RunRecord, sig string) *plan.Plan {
 }
 
 // replayIndexEvent tests whether an index drop/creation explains the plan
-// change by toggling the index and re-running the optimizer.
+// change by toggling the index and re-running the optimizer. The toggle
+// happens on a private copy of the catalog: the Input's catalog is
+// shared by every concurrent diagnosis over it.
 func replayIndexEvent(in *Input, ev topology.Event, res *PDResult) PlanChangeCause {
 	idx := string(ev.Subject)
 	cause := PlanChangeCause{Event: ev}
-
-	toggleBack := func() {}
-	if ev.Kind == topology.EvIndexDropped {
-		if !in.Cat.RestoreIndex(idx) {
-			cause.Detail = fmt.Sprintf("unknown index %q", idx)
-			return cause
-		}
-		toggleBack = func() { in.Cat.DropIndex(idx) }
-	} else {
-		if !in.Cat.DropIndex(idx) {
-			cause.Detail = fmt.Sprintf("unknown index %q", idx)
-			return cause
-		}
-		toggleBack = func() { in.Cat.RestoreIndex(idx) }
+	cat := in.Cat.Clone()
+	undo, redo := cat.RestoreIndex, cat.DropIndex
+	if ev.Kind == topology.EvIndexCreated {
+		undo, redo = cat.DropIndex, cat.RestoreIndex
 	}
-	before, errB := in.Opt.PlanQuery(in.Query, in.Stats, in.Params)
-	toggleBack()
-	after, errA := in.Opt.PlanQuery(in.Query, in.Stats, in.Params)
+	if !undo(idx) {
+		cause.Detail = fmt.Sprintf("unknown index %q", idx)
+		return cause
+	}
+	o := opt.New(cat)
+	before, errB := o.PlanQuery(in.Query, in.Stats, in.Params)
+	redo(idx)
+	after, errA := o.PlanQuery(in.Query, in.Stats, in.Params)
 	if errB != nil || errA != nil {
 		cause.Detail = "optimizer replay failed"
 		return cause

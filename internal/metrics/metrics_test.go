@@ -134,7 +134,7 @@ func TestSamplerAveragesConstant(t *testing.T) {
 	s := NewStore()
 	sp := NewSampler(0, 0)
 	iv := simtime.NewInterval(0, simtime.Time(30*simtime.Minute))
-	sp.Record(s, "vol", VolWriteIO, iv, func(simtime.Time) float64 { return 42 })
+	sp.Record(s, "vol", VolWriteIO, iv, Constant(42))
 	ser := s.Series("vol", VolWriteIO)
 	if len(ser) != 6 {
 		t.Fatalf("30 min / 5 min: want 6 samples, got %d", len(ser))
@@ -153,11 +153,14 @@ func TestSamplerAveragesOutBursts(t *testing.T) {
 	s := NewStore()
 	sp := NewSampler(0, 0)
 	iv := simtime.NewInterval(0, simtime.Time(5*simtime.Minute))
-	fn := func(t simtime.Time) float64 {
-		if t >= 60 && t < 90 {
-			return 110
+	fn := func(t simtime.Time) (float64, simtime.Time) {
+		switch {
+		case t < 60:
+			return 10, 60
+		case t < 90:
+			return 110, 90
 		}
-		return 10
+		return 10, simtime.Time(math.Inf(1))
 	}
 	sp.Record(s, "vol", VolWriteIO, iv, fn)
 	ser := s.Series("vol", VolWriteIO)
@@ -174,7 +177,7 @@ func TestSamplerNoiseIsDeterministic(t *testing.T) {
 		s := NewStore()
 		sp := NewSampler(0.1, 5)
 		iv := simtime.NewInterval(0, simtime.Time(time30()))
-		sp.Record(s, "v", VolReadTime, iv, func(simtime.Time) float64 { return 5 })
+		sp.Record(s, "v", VolReadTime, iv, Constant(5))
 		return s.Series("v", VolReadTime)
 	}
 	a, b := run(), run()
@@ -202,7 +205,7 @@ func TestSamplerNoiseIsDeterministic(t *testing.T) {
 // splitting the emission window into grid-aligned chunks both produce
 // byte-identical samples.
 func TestSamplerNoiseIsOrderAndChunkInvariant(t *testing.T) {
-	fn := func(simtime.Time) float64 { return 5 }
+	fn := Constant(5)
 	end := simtime.Time(17 * simtime.Minute) // 3 full intervals + a partial tail
 
 	// One batch emission, series A before B.
@@ -241,7 +244,7 @@ func TestSamplerPartialTrailingInterval(t *testing.T) {
 	sp := NewSampler(0, 0)
 	// 7 minutes of data with 5-minute intervals: one full + one partial.
 	iv := simtime.NewInterval(0, simtime.Time(7*simtime.Minute))
-	sp.Record(s, "v", VolReadIO, iv, func(simtime.Time) float64 { return 3 })
+	sp.Record(s, "v", VolReadIO, iv, Constant(3))
 	ser := s.Series("v", VolReadIO)
 	if len(ser) != 2 {
 		t.Fatalf("want 2 samples, got %d", len(ser))

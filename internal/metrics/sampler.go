@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math"
+
 	"diads/internal/simtime"
 )
 
@@ -24,10 +26,22 @@ func ReadWindow(iv simtime.Interval) simtime.Interval {
 		iv.End.Add(DefaultMonitorInterval))
 }
 
-// TrueValueFunc reports the instantaneous "ground truth" value of a metric
-// at simulated time t. The sampler integrates it over each monitoring
-// interval; diagnosis code only ever sees the resulting averages.
-type TrueValueFunc func(t simtime.Time) float64
+// TrueValueFunc reports the instantaneous "ground truth" value v of a
+// metric at simulated time t, and until, the time up to which that value
+// holds: the function returns v for every instant in [t, until). The
+// sampler integrates it over each monitoring interval and calls it again
+// only once its integration midpoints reach until, so a piecewise-
+// constant model is evaluated once per change point instead of once per
+// sub-step. until must never overshoot a change; a function that cannot
+// promise anything (it reads mutable state) returns until = t, which
+// re-evaluates it at every sub-step. Diagnosis code only ever sees the
+// resulting averages.
+type TrueValueFunc func(t simtime.Time) (v float64, until simtime.Time)
+
+// Constant returns a TrueValueFunc that holds c at all times.
+func Constant(c float64) TrueValueFunc {
+	return func(simtime.Time) (float64, simtime.Time) { return c, simtime.Time(math.Inf(1)) }
+}
 
 // Sampler converts instantaneous component behaviour into the coarse,
 // noisy series a production monitoring tool records.
@@ -55,6 +69,7 @@ type Sampler struct {
 	Seed int64
 
 	rands map[SeriesKey]*simtime.Rand
+	buf   []Sample // one call's samples, reused across calls
 }
 
 // NewSampler returns a sampler with the production defaults: 5-minute
@@ -83,38 +98,76 @@ func (sp *Sampler) rand(component string, metric Metric) *simtime.Rand {
 	return r
 }
 
-// jitter applies one series' measurement noise to a sample value.
-func (sp *Sampler) jitter(component string, metric Metric, v float64) float64 {
-	if sp.NoiseSigma <= 0 {
-		return v
+// interval returns the monitoring interval, defaulted.
+func (sp *Sampler) interval() simtime.Duration {
+	if sp.Interval <= 0 {
+		return DefaultMonitorInterval
 	}
-	return sp.rand(component, metric).Jitter(v, sp.NoiseSigma)
+	return sp.Interval
 }
 
-// Record samples fn over [iv.Start, iv.End) and appends one sample per
-// monitoring interval to store under (component, metric). Sample timestamps
-// are the interval end points, matching how monitoring agents report. The
-// sampling grid is anchored at iv.Start: callers emitting a timeline in
-// chunks must pass windows starting on multiples of Interval (the
-// testbed's emission watermark guarantees it), so chunked and batch
-// emission produce identical sample sets.
-func (sp *Sampler) Record(store *Store, component string, metric Metric, iv simtime.Interval, fn TrueValueFunc) {
-	step := sp.Interval
-	if step <= 0 {
-		step = DefaultMonitorInterval
+// record appends one sample per monitoring interval of iv to store
+// under (component, metric), each the jittered value of mean over its
+// interval. Sample timestamps are the interval end points, matching how
+// monitoring agents report. The series' noise stream is looked up once
+// and the samples go to the store in one batch.
+func (sp *Sampler) record(store *Store, component string, metric Metric, iv simtime.Interval, mean func(start, end simtime.Time) float64) {
+	step := sp.interval()
+	var noise *simtime.Rand
+	if sp.NoiseSigma > 0 {
+		noise = sp.rand(component, metric)
 	}
-	sub := sp.SubStep
-	if sub <= 0 || sub > step {
-		sub = step / 10
-	}
+	buf := sp.buf[:0]
 	for start := iv.Start; start < iv.End; start = start.Add(step) {
 		end := start.Add(step)
 		if end > iv.End {
 			end = iv.End
 		}
-		avg := integrateMean(fn, start, end, sub)
-		store.MustAppend(component, metric, Sample{T: end, V: sp.jitter(component, metric, avg)})
+		v := mean(start, end)
+		if noise != nil {
+			v = noise.Jitter(v, sp.NoiseSigma)
+		}
+		buf = append(buf, Sample{T: end, V: v})
 	}
+	sp.buf = buf
+	if err := store.appendSeries(component, metric, buf); err != nil {
+		panic(err)
+	}
+}
+
+// Record samples fn over [iv.Start, iv.End) and appends one sample per
+// monitoring interval to store under (component, metric). Each sample is
+// the midpoint-rule mean of fn over its interval, one term per sub-step;
+// a term whose midpoint lies before the until of the previous evaluation
+// reuses its value, which leaves every sum bit-identical to evaluating
+// fn at each midpoint. The sampling grid is anchored at iv.Start:
+// callers emitting a timeline in chunks must pass windows starting on
+// multiples of Interval (the testbed's emission watermark guarantees
+// it), so chunked and batch emission produce identical sample sets.
+// Out-of-order emission is a simulator bug and panics.
+func (sp *Sampler) Record(store *Store, component string, metric Metric, iv simtime.Interval, fn TrueValueFunc) {
+	sub := sp.SubStep
+	if step := sp.interval(); sub <= 0 || sub > step {
+		sub = step / 10
+	}
+	var v float64
+	until := simtime.Time(math.Inf(-1))
+	sp.record(store, component, metric, iv, func(start, end simtime.Time) float64 {
+		var sum float64
+		var n int
+		for t := start; t < end; t = t.Add(sub) {
+			mid := t.Add(sub / 2)
+			if mid >= end {
+				mid = t.Add(simtime.Duration(float64(end.Sub(t)) / 2))
+			}
+			if mid >= until {
+				v, until = fn(mid)
+			}
+			sum += v
+			n++
+		}
+		return sum / float64(n)
+	})
 }
 
 // WindowMeanFunc reports the exact time-average of a metric over an
@@ -128,39 +181,7 @@ type WindowMeanFunc func(iv simtime.Interval) float64
 // interval's average by its exact share. The grid-alignment requirement
 // of Record applies here too.
 func (sp *Sampler) RecordWindowMean(store *Store, component string, metric Metric, iv simtime.Interval, fn WindowMeanFunc) {
-	step := sp.Interval
-	if step <= 0 {
-		step = DefaultMonitorInterval
-	}
-	for start := iv.Start; start < iv.End; start = start.Add(step) {
-		end := start.Add(step)
-		if end > iv.End {
-			end = iv.End
-		}
-		avg := fn(simtime.NewInterval(start, end))
-		store.MustAppend(component, metric, Sample{T: end, V: sp.jitter(component, metric, avg)})
-	}
-}
-
-// integrateMean averages fn over [start, end) with the given step using the
-// midpoint rule, which is exact for the piecewise-constant load timelines
-// the SAN performance model produces (as long as step divides the pieces).
-func integrateMean(fn TrueValueFunc, start, end simtime.Time, step simtime.Duration) float64 {
-	if end <= start {
-		return fn(start)
-	}
-	var sum float64
-	var n int
-	for t := start; t < end; t = t.Add(step) {
-		mid := t.Add(step / 2)
-		if mid >= end {
-			mid = t.Add(simtime.Duration(float64(end.Sub(t)) / 2))
-		}
-		sum += fn(mid)
-		n++
-	}
-	if n == 0 {
-		return fn(start)
-	}
-	return sum / float64(n)
+	sp.record(store, component, metric, iv, func(start, end simtime.Time) float64 {
+		return fn(simtime.NewInterval(start, end))
+	})
 }

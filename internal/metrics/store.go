@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -174,18 +175,30 @@ func (ser *series) copyRange(lo, hi int) []Sample {
 	return out
 }
 
+// tail returns the segment holding the newest retained sample, or nil
+// when none is retained. Segments are never empty, so its last sample is
+// the series' last.
+func (ser *series) tail() *segment {
+	if len(ser.segs) == 0 {
+		return nil
+	}
+	return ser.segs[len(ser.segs)-1]
+}
+
 // append adds one sample with absolute cumulative sums carried from the
 // previous sample (or the truncation base). size is the capacity of any
 // new segment; a partially-filled trailing segment keeps its own.
 func (ser *series) append(sample Sample, size int) {
 	cum, cum2 := ser.baseSum, ser.baseSum2
-	if n := ser.total(); n > ser.dropped {
-		cum, cum2 = ser.cumAt(n - 1)
+	seg := ser.tail()
+	if seg != nil {
+		i := len(seg.samples) - 1
+		cum, cum2 = seg.sum[i], seg.sum2[i]
+		if len(seg.samples) == cap(seg.samples) {
+			seg = nil
+		}
 	}
-	var seg *segment
-	if n := len(ser.segs); n > 0 && len(ser.segs[n-1].samples) < cap(ser.segs[n-1].samples) {
-		seg = ser.segs[n-1]
-	} else {
+	if seg == nil {
 		seg = &segment{
 			start:   ser.total(),
 			samples: make([]Sample, 0, size),
@@ -230,15 +243,25 @@ func (ser *series) truncate(before simtime.Time) int {
 // expressed in absolute sample indices so truncation is invisible to
 // readers of the surviving window (see DESIGN.md "Memory model &
 // retention").
+//
+// A sorted per-component metric index, updated when a series is
+// created, answers Keys, Components and MetricsFor without sorting the
+// key set. Series are never removed (truncation empties them), so the
+// index always lists exactly the map's keys.
 type Store struct {
 	mu     sync.RWMutex
 	seg    int // segment capacity for new segments; 0 = segmentSize
 	series map[SeriesKey]*series
+	comps  []string            // distinct components, sorted
+	byComp map[string][]Metric // each component's metrics, sorted
 }
 
 // NewStore returns an empty monitoring store.
 func NewStore() *Store {
-	return &Store{series: make(map[SeriesKey]*series)}
+	return &Store{
+		series: make(map[SeriesKey]*series),
+		byComp: make(map[string][]Metric),
+	}
 }
 
 // SetSegmentSize overrides the granularity of segments created by
@@ -263,23 +286,56 @@ func (s *Store) SetSegmentSize(n int) {
 func (s *Store) Append(component string, metric Metric, sample Sample) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := SeriesKey{Component: component, Metric: metric}
+	return s.appendLocked(SeriesKey{Component: component, Metric: metric}, []Sample{sample})
+}
+
+// appendSeries records samples, in order, for one series under a single
+// lock and map lookup: the sampler's write path, one call per series
+// per emission window. It fails like the equivalent run of Append calls.
+func (s *Store) appendSeries(component string, metric Metric, samples []Sample) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendLocked(SeriesKey{Component: component, Metric: metric}, samples)
+}
+
+// appendLocked appends samples to series k, creating and indexing the
+// series on first use. It stops at the first sample older than its
+// predecessor, keeping the samples before it. Callers must hold the
+// write lock.
+func (s *Store) appendLocked(k SeriesKey, samples []Sample) error {
 	ser := s.series[k]
 	if ser == nil {
 		ser = &series{}
 		s.series[k] = ser
-	}
-	if n := ser.total(); n > ser.dropped && sample.T < ser.at(n-1).T {
-		return fmt.Errorf("metrics: out-of-order sample for %s: %v after %v",
-			k, sample.T, ser.at(n-1).T)
+		s.index(k)
 	}
 	size := s.seg
 	if size == 0 {
 		size = segmentSize
 	}
-	ser.append(sample, size)
-	liveSamples.Add(1)
+	for i, sample := range samples {
+		if seg := ser.tail(); seg != nil {
+			if last := seg.samples[len(seg.samples)-1]; sample.T < last.T {
+				liveSamples.Add(int64(i))
+				return fmt.Errorf("metrics: out-of-order sample for %s: %v after %v", k, sample.T, last.T)
+			}
+		}
+		ser.append(sample, size)
+	}
+	liveSamples.Add(int64(len(samples)))
 	return nil
+}
+
+// index adds a new series key to the component index, keeping both
+// levels sorted. Callers must hold the write lock.
+func (s *Store) index(k SeriesKey) {
+	ms, ok := s.byComp[k.Component]
+	if !ok {
+		i, _ := slices.BinarySearch(s.comps, k.Component)
+		s.comps = slices.Insert(s.comps, i, k.Component)
+	}
+	i, _ := slices.BinarySearch(ms, k.Metric)
+	s.byComp[k.Component] = slices.Insert(ms, i, k.Metric)
 }
 
 // MustAppend is Append for simulator-internal callers where out-of-order
@@ -428,48 +484,34 @@ func (s *Store) Latest(component string, metric Metric) (Sample, bool) {
 	return ser.at(ser.total() - 1), true
 }
 
-// Keys returns every series key in the store, sorted for deterministic
-// iteration.
+// Keys returns every series key in the store, sorted by component and
+// then metric for deterministic iteration.
 func (s *Store) Keys() []SeriesKey {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	keys := make([]SeriesKey, 0, len(s.series))
-	for k := range s.series {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Component != keys[j].Component {
-			return keys[i].Component < keys[j].Component
+	for _, c := range s.comps {
+		for _, m := range s.byComp[c] {
+			keys = append(keys, SeriesKey{Component: c, Metric: m})
 		}
-		return keys[i].Metric < keys[j].Metric
-	})
+	}
 	return keys
 }
 
 // Components returns the distinct component IDs present in the store,
 // sorted.
 func (s *Store) Components() []string {
-	seen := make(map[string]bool)
-	for _, k := range s.Keys() {
-		seen[k.Component] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Clone(s.comps)
 }
 
-// MetricsFor returns the metrics recorded for a component, sorted.
+// MetricsFor returns the metrics recorded for a component, sorted, or
+// nil for a component the store has never seen.
 func (s *Store) MetricsFor(component string) []Metric {
-	var out []Metric
-	for _, k := range s.Keys() {
-		if k.Component == component {
-			out = append(out, k.Metric)
-		}
-	}
-	return out
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Clone(s.byComp[component])
 }
 
 // Len returns the total number of retained samples across all series.

@@ -39,18 +39,16 @@ type poolRW struct {
 
 // emitMemo caches pool-level intermediates across the series of one
 // EmitMetrics call. Every series samples the same time grid, so without
-// the memo each (pool, instant) utilization is recomputed once per
-// volume series and each pool demand once per disk series. The memoized
-// methods mirror their Model counterparts operation for operation —
-// including float accumulation order — so they replay the exact values
-// the unmemoized queries would produce. The memo lives for one
+// the memo each pool state is recomputed once per volume or disk series
+// and each pool's IOPS sums once per series reading them. The memoized
+// values are the Model's own computations, so they replay the exact
+// values the unmemoized queries would produce. The memo lives for one
 // EmitMetrics call on one goroutine (the Sampler contract is already
 // single-goroutine), so no locking.
 type emitMemo struct {
 	m      *Model
 	active map[poolAt]activePool
-	demand map[poolAt]float64 // volumeDemand over the active set
-	util   map[poolAt]float64 // PoolUtilization
+	load   map[poolAt]poolLoad
 	rw     map[poolWin]poolRW // per-volume MeanOver sums
 }
 
@@ -58,8 +56,7 @@ func newEmitMemo(m *Model) *emitMemo {
 	return &emitMemo{
 		m:      m,
 		active: make(map[poolAt]activePool),
-		demand: make(map[poolAt]float64),
-		util:   make(map[poolAt]float64),
+		load:   make(map[poolAt]poolLoad),
 		rw:     make(map[poolWin]poolRW),
 	}
 }
@@ -69,88 +66,37 @@ func (em *emitMemo) activeDisks(pool topology.ID, t simtime.Time) activePool {
 	if a, ok := em.active[k]; ok {
 		return a
 	}
-	disks, allFailed := em.m.activeDisksOf(pool, t)
+	disks, allFailed, _ := em.m.activeDisksOf(pool, t)
 	a := activePool{disks, allFailed}
 	em.active[k] = a
 	return a
 }
 
-func (em *emitMemo) volumeDemand(pool topology.ID, t simtime.Time, n float64) float64 {
+// poolLoad memoizes Model.poolLoad. The state holds on [t, until), so
+// every volume response-time and disk phys-time series of the pool
+// shares one evaluation per change point.
+func (em *emitMemo) poolLoad(pool topology.ID, t simtime.Time) poolLoad {
 	k := poolAt{pool, t}
-	if d, ok := em.demand[k]; ok {
-		return d
+	if pl, ok := em.load[k]; ok {
+		return pl
 	}
-	d := em.m.volumeDemand(pool, t, n)
-	em.demand[k] = d
-	return d
+	pl := em.m.poolLoad(pool, t)
+	em.load[k] = pl
+	return pl
 }
 
-// poolUtilization mirrors Model.PoolUtilization.
-func (em *emitMemo) poolUtilization(pool topology.ID, t simtime.Time) float64 {
-	k := poolAt{pool, t}
-	if u, ok := em.util[k]; ok {
-		return u
-	}
-	var u float64
-	a := em.activeDisks(pool, t)
-	switch {
-	case len(a.disks) == 0:
-		u = 0
-	case a.allFailed:
-		u = 1
-	default:
-		n := float64(len(a.disks))
-		share := em.volumeDemand(pool, t, n)
-		var sum float64
-		for _, d := range a.disks {
-			sum += share + em.m.diskUtil.At(diskKey(d), t)
-		}
-		u = sum / n
-	}
-	em.util[k] = u
-	return u
-}
-
-// diskUtilization mirrors Model.DiskUtilization.
-func (em *emitMemo) diskUtilization(disk topology.ID, t simtime.Time) float64 {
+// physTime returns the true-value function of a disk's physical I/O
+// time for service time svc, in ms.
+func (em *emitMemo) physTime(disk topology.ID, svc simtime.Duration) metrics.TrueValueFunc {
 	m := em.m
 	pool := m.cfg.Parent(disk)
 	if pool == "" {
-		return 0
+		return metrics.Constant(float64(svc) * m.queueFactor(0) * 1000)
 	}
-	if !m.diskActive(disk, t) {
-		return 1
+	return func(t simtime.Time) (float64, simtime.Time) {
+		pl := em.poolLoad(pool, t)
+		return float64(svc) * m.queueFactor(m.diskUtilization(disk, t, pl)) * 1000, pl.until
 	}
-	a := em.activeDisks(pool, t)
-	n := float64(len(a.disks))
-	if n == 0 {
-		return 1
-	}
-	return em.volumeDemand(pool, t, n) + m.diskUtil.At(diskKey(disk), t)
-}
-
-// readResponse mirrors Model.ReadResponse.
-func (em *emitMemo) readResponse(vol topology.ID, t simtime.Time, sequential bool) simtime.Duration {
-	m := em.m
-	svc := m.params.RandomReadService
-	if sequential {
-		svc = m.params.SequentialReadService
-	}
-	pool := m.cfg.PoolOf(vol)
-	if pool == "" {
-		return svc
-	}
-	return simtime.Duration(float64(svc) * m.queueFactor(em.poolUtilization(pool, t)))
-}
-
-// writeResponse mirrors Model.WriteResponse.
-func (em *emitMemo) writeResponse(vol topology.ID, t simtime.Time) simtime.Duration {
-	m := em.m
-	pool := m.cfg.PoolOf(vol)
-	if pool == "" {
-		return m.params.WriteService
-	}
-	return simtime.Duration(float64(m.params.WriteService) * m.queueFactor(em.poolUtilization(pool, t)))
 }
 
 // poolIOPS sums the pool volumes' mean read and write IOPS over w, each
@@ -210,11 +156,13 @@ func (m *Model) EmitMetrics(store *metrics.Store, sp *metrics.Sampler, iv simtim
 		sp.RecordWindowMean(store, comp, metrics.StContaminatingWr, iv, func(w simtime.Interval) float64 {
 			return em.meanPoolWriteIOPS(vol, w) - m.MeanWriteIOPS(vol, w)
 		})
-		sp.Record(store, comp, metrics.VolReadTime, iv, func(t simtime.Time) float64 {
-			return float64(em.readResponse(vol, t, false)) * 1000 // ms
+		sp.Record(store, comp, metrics.VolReadTime, iv, func(t simtime.Time) (float64, simtime.Time) {
+			rt, until := m.response(vol, t, m.params.RandomReadService, em.poolLoad)
+			return float64(rt) * 1000, until // ms
 		})
-		sp.Record(store, comp, metrics.VolWriteTime, iv, func(t simtime.Time) float64 {
-			return float64(em.writeResponse(vol, t)) * 1000 // ms
+		sp.Record(store, comp, metrics.VolWriteTime, iv, func(t simtime.Time) (float64, simtime.Time) {
+			rt, until := m.response(vol, t, m.params.WriteService, em.poolLoad)
+			return float64(rt) * 1000, until // ms
 		})
 		sp.RecordWindowMean(store, comp, metrics.StBytesRead, iv, func(w simtime.Interval) float64 {
 			seq := m.MeanSeqReadIOPS(vol, w)
@@ -253,12 +201,8 @@ func (m *Model) EmitMetrics(store *metrics.Store, sp *metrics.Sampler, iv simtim
 		sp.RecordWindowMean(store, comp, metrics.StPhysWriteOps, iv, func(w simtime.Interval) float64 {
 			return share(w, false)
 		})
-		sp.Record(store, comp, metrics.StPhysReadTime, iv, func(t simtime.Time) float64 {
-			return float64(m.params.RandomReadService) * m.queueFactor(em.diskUtilization(disk, t)) * 1000
-		})
-		sp.Record(store, comp, metrics.StPhysWriteTime, iv, func(t simtime.Time) float64 {
-			return float64(m.params.WriteService) * m.queueFactor(em.diskUtilization(disk, t)) * 1000
-		})
+		sp.Record(store, comp, metrics.StPhysReadTime, iv, em.physTime(disk, m.params.RandomReadService))
+		sp.Record(store, comp, metrics.StPhysWriteTime, iv, em.physTime(disk, m.params.WriteService))
 		sp.RecordWindowMean(store, comp, metrics.StTotalIOs, iv, func(w simtime.Interval) float64 {
 			return share(w, true) + share(w, false)
 		})
@@ -333,7 +277,7 @@ func (m *Model) EmitNetworkMetrics(store *metrics.Store, sp *metrics.Sampler, iv
 		sp.RecordWindowMean(store, comp, metrics.NetPacketsTransmitted, iv, func(w simtime.Interval) float64 {
 			return traffic(w) / 2 // 2KB frames
 		})
-		sp.Record(store, comp, metrics.NetErrorFrames, iv, func(simtime.Time) float64 { return 0 })
-		sp.Record(store, comp, metrics.NetCRCErrors, iv, func(simtime.Time) float64 { return 0 })
+		sp.Record(store, comp, metrics.NetErrorFrames, iv, metrics.Constant(0))
+		sp.Record(store, comp, metrics.NetCRCErrors, iv, metrics.Constant(0))
 	}
 }

@@ -122,28 +122,24 @@ func (m *Model) diskActive(disk topology.ID, t simtime.Time) bool {
 	return m.outage.At(diskKey(disk), t) == 0
 }
 
-// activeDisks returns the in-service disks of a pool at t. If every disk
-// failed it returns the full set to avoid division by zero; the pool is
-// then fully saturated anyway.
-func (m *Model) activeDisks(pool topology.ID, t simtime.Time) []topology.ID {
-	disks, _ := m.activeDisksOf(pool, t)
-	return disks
-}
-
-// activeDisksOf is activeDisks plus a flag for the every-disk-failed
-// fallback, so callers need not re-probe the outage timeline per disk.
-func (m *Model) activeDisksOf(pool topology.ID, t simtime.Time) ([]topology.ID, bool) {
-	disks := m.cfg.ChildrenOfKind(pool, topology.KindDisk)
-	var active []topology.ID
-	for _, d := range disks {
-		if m.diskActive(d, t) {
-			active = append(active, d)
+// activeDisksOf returns the in-service disks of a pool at t. If every
+// disk failed it returns the full set, flagged allFailed, to avoid
+// division by zero; the pool is then fully saturated anyway. The outage
+// state it read holds on [t, until).
+func (m *Model) activeDisksOf(pool topology.ID, t simtime.Time) (disks []topology.ID, allFailed bool, until simtime.Time) {
+	all := m.cfg.ChildrenOfKind(pool, topology.KindDisk)
+	until = forever
+	for _, d := range all {
+		out, u := m.outage.AtUntil(diskKey(d), t)
+		until = min(until, u)
+		if out == 0 {
+			disks = append(disks, d)
 		}
 	}
-	if len(active) == 0 {
-		return disks, true
+	if len(disks) == 0 {
+		return all, true, until
 	}
-	return active, false
+	return disks, false, until
 }
 
 // VolumeReadIOPS returns the total read IOPS applied to vol at t.
@@ -190,31 +186,70 @@ func (m *Model) MeanPoolWriteIOPS(vol topology.ID, iv simtime.Interval) float64 
 	return sum
 }
 
-// volumeSeqFrac returns the sequential fraction of vol's reads at t.
-// r is the volume's read IOPS at t, passed in so callers that already
-// queried the read timeline don't pay for a second lookup.
-func (m *Model) volumeSeqFrac(vol topology.ID, t simtime.Time, r float64) float64 {
+// seqFrac returns the sequential fraction of a volume's r read IOPS, of
+// which seq are sequential.
+func seqFrac(seq, r float64) float64 {
 	if r <= 0 {
 		return 0
 	}
-	f := m.seqReads.At(volKey(vol), t) / r
-	return math.Min(1, math.Max(0, f))
+	return math.Min(1, math.Max(0, seq/r))
 }
 
 // volumeDemand returns the per-disk service demand of the pool's volumes
 // at t when their load spreads across n in-service disks. Every active
 // disk of a pool shares this term; only direct disk load differs per disk.
-func (m *Model) volumeDemand(pool topology.ID, t simtime.Time, n float64) float64 {
-	var demand float64 // busy seconds per second
+// The volume loads it read hold on [t, until).
+func (m *Model) volumeDemand(pool topology.ID, t simtime.Time, n float64) (demand float64, until simtime.Time) {
+	until = forever
 	for _, vol := range m.cfg.VolumesInPool(pool) {
-		r := m.reads.At(volKey(vol), t)
-		w := m.writes.At(volKey(vol), t)
-		seq := m.volumeSeqFrac(vol, t, r)
+		r, ur := m.reads.AtUntil(volKey(vol), t)
+		w, uw := m.writes.AtUntil(volKey(vol), t)
+		sr, us := m.seqReads.AtUntil(volKey(vol), t)
+		until = min(until, ur, uw, us)
+		seq := seqFrac(sr, r)
 		readSvc := float64(m.params.RandomReadService)*(1-seq) +
 			float64(m.params.SequentialReadService)*seq
-		demand += (r*readSvc + w*float64(m.params.WriteService)) / n
+		demand += (r*readSvc + w*float64(m.params.WriteService)) / n // busy seconds per second
 	}
-	return demand
+	return demand, until
+}
+
+// poolLoad is one pool's utilization state at an instant.
+type poolLoad struct {
+	disks     []topology.ID // in-service disks (all of them when allFailed)
+	allFailed bool
+	demand    float64 // volumeDemand over the in-service disks
+	util      float64 // PoolUtilization
+	// until is the earliest next boundary of every timeline the state
+	// was computed from: the state holds on [t, until).
+	until simtime.Time
+}
+
+// poolLoad computes the pool's state at t. The shared volume-demand term
+// is computed once for the pool rather than once per disk, so the cost
+// is O(disks + volumes) instead of O(disks × volumes).
+func (m *Model) poolLoad(pool topology.ID, t simtime.Time) poolLoad {
+	var pl poolLoad
+	pl.disks, pl.allFailed, pl.until = m.activeDisksOf(pool, t)
+	switch {
+	case len(pl.disks) == 0:
+	case pl.allFailed:
+		// Every disk reports utilization 1, so the mean is exactly 1.
+		pl.util = 1
+	default:
+		n := float64(len(pl.disks))
+		var u simtime.Time
+		pl.demand, u = m.volumeDemand(pool, t, n)
+		pl.until = min(pl.until, u)
+		var sum float64
+		for _, d := range pl.disks {
+			du, u := m.diskUtil.AtUntil(diskKey(d), t)
+			pl.until = min(pl.until, u)
+			sum += pl.demand + du
+		}
+		pl.util = sum / n
+	}
+	return pl
 }
 
 // DiskUtilization returns the utilization of one disk at t: the summed
@@ -225,36 +260,22 @@ func (m *Model) DiskUtilization(disk topology.ID, t simtime.Time) float64 {
 	if pool == "" {
 		return 0
 	}
+	return m.diskUtilization(disk, t, m.poolLoad(pool, t))
+}
+
+// diskUtilization is DiskUtilization given the state pl of the disk's
+// pool at t.
+func (m *Model) diskUtilization(disk topology.ID, t simtime.Time, pl poolLoad) float64 {
 	if !m.diskActive(disk, t) {
 		return 1
 	}
-	n := float64(len(m.activeDisks(pool, t)))
-	if n == 0 {
-		return 1
-	}
-	return m.volumeDemand(pool, t, n) + m.diskUtil.At(diskKey(disk), t)
+	return pl.demand + m.diskUtil.At(diskKey(disk), t)
 }
 
 // PoolUtilization returns the mean utilization across a pool's in-service
-// disks at t. The shared volume-demand term is computed once for the pool
-// rather than once per disk, so the cost is O(disks + volumes) instead of
-// O(disks × volumes); per-disk results match DiskUtilization exactly.
+// disks at t; per-disk terms match DiskUtilization exactly.
 func (m *Model) PoolUtilization(pool topology.ID, t simtime.Time) float64 {
-	disks, allFailed := m.activeDisksOf(pool, t)
-	if len(disks) == 0 {
-		return 0
-	}
-	if allFailed {
-		// Every disk reports utilization 1, so the mean is exactly 1.
-		return 1
-	}
-	n := float64(len(disks))
-	share := m.volumeDemand(pool, t, n)
-	var sum float64
-	for _, d := range disks {
-		sum += share + m.diskUtil.At(diskKey(d), t)
-	}
-	return sum / n
+	return m.poolLoad(pool, t).util
 }
 
 // queueFactor converts utilization into the M/M/1 response multiplier
@@ -274,21 +295,27 @@ func (m *Model) ReadResponse(vol topology.ID, t simtime.Time, sequential bool) s
 	if sequential {
 		svc = m.params.SequentialReadService
 	}
-	pool := m.cfg.PoolOf(vol)
-	if pool == "" {
-		return svc
-	}
-	return simtime.Duration(float64(svc) * m.queueFactor(m.PoolUtilization(pool, t)))
+	rt, _ := m.response(vol, t, svc, m.poolLoad)
+	return rt
 }
 
 // WriteResponse returns the expected response time of one write I/O
 // against vol at t.
 func (m *Model) WriteResponse(vol topology.ID, t simtime.Time) simtime.Duration {
+	rt, _ := m.response(vol, t, m.params.WriteService, m.poolLoad)
+	return rt
+}
+
+// response returns the response time of an I/O with service time svc
+// against vol at t, with load supplying the state of vol's pool, and the
+// time until which it holds.
+func (m *Model) response(vol topology.ID, t simtime.Time, svc simtime.Duration, load func(topology.ID, simtime.Time) poolLoad) (simtime.Duration, simtime.Time) {
 	pool := m.cfg.PoolOf(vol)
 	if pool == "" {
-		return m.params.WriteService
+		return svc, forever
 	}
-	return simtime.Duration(float64(m.params.WriteService) * m.queueFactor(m.PoolUtilization(pool, t)))
+	pl := load(pool, t)
+	return simtime.Duration(float64(svc) * m.queueFactor(pl.util)), pl.until
 }
 
 // ContributorsAt names the load sources active on a volume's pool at t —

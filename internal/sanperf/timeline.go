@@ -12,6 +12,7 @@
 package sanperf
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -24,6 +25,9 @@ type Segment struct {
 	V      float64
 	Source string // who contributes this load (workload, query run, fault)
 }
+
+// forever is the until of a value that never changes.
+var forever = simtime.Time(math.Inf(1))
 
 // Timeline accumulates named piecewise-constant quantities. The value of a
 // key at time t is the sum of all segments active at t. It is safe for
@@ -50,15 +54,30 @@ func (tl *Timeline) Add(key string, iv simtime.Interval, v float64, source strin
 
 // At returns the summed value of key at time t.
 func (tl *Timeline) At(key string, t simtime.Time) float64 {
+	v, _ := tl.AtUntil(key, t)
+	return v
+}
+
+// AtUntil returns the summed value of key at time t together with the
+// next segment boundary after t: the earliest start of a segment that
+// begins after t or end of one that covers t (+Inf when none). No
+// segment starts or ends inside (t, until), so the value holds on
+// [t, until). Both come from one pass over the key's segments, summed
+// in the same order as At.
+func (tl *Timeline) AtUntil(key string, t simtime.Time) (v float64, until simtime.Time) {
 	tl.mu.RLock()
 	defer tl.mu.RUnlock()
-	var sum float64
+	until = forever
 	for _, s := range tl.segs[key] {
-		if s.Iv.Contains(t) {
-			sum += s.V
+		switch {
+		case s.Iv.Contains(t):
+			v += s.V
+			until = min(until, s.Iv.End)
+		case s.Iv.Start > t:
+			until = min(until, s.Iv.Start)
 		}
 	}
-	return sum
+	return v, until
 }
 
 // MeanOver returns the time-average of key over iv.

@@ -273,10 +273,8 @@ func (tb *Testbed) emitMetrics(iv simtime.Interval) {
 		func(w simtime.Interval) float64 {
 			return 100 * minf(0.08+tb.CPULoad.MeanOver("cpu", w), 1)
 		})
-	tb.Sampler.Record(tb.Store, string(ServerDB), metrics.SrvPhysMemoryPct, iv,
-		func(simtime.Time) float64 { return 62 })
-	tb.Sampler.Record(tb.Store, string(ServerDB), metrics.SrvProcesses, iv,
-		func(simtime.Time) float64 { return 180 })
+	tb.Sampler.Record(tb.Store, string(ServerDB), metrics.SrvPhysMemoryPct, iv, metrics.Constant(62))
+	tb.Sampler.Record(tb.Store, string(ServerDB), metrics.SrvProcesses, iv, metrics.Constant(180))
 
 	// Database metrics: per-run activity rates plus lock-manager state.
 	rec := func(metric metrics.Metric, key string) {
@@ -288,8 +286,10 @@ func (tb *Testbed) emitMetrics(iv simtime.Interval) {
 	rec(metrics.DBLockWaitTime, "lockwait")
 	rec(metrics.DBIndexScans, "idxscans")
 	rec(metrics.DBSequentialScans, "seqscans")
+	// The lock manager promises no change points, so the sampler
+	// re-evaluates it at every sub-step.
 	tb.Sampler.Record(tb.Store, DBInstance, metrics.DBLocksHeld, iv,
-		func(t simtime.Time) float64 { return float64(tb.Locks.HeldAt(t)) })
+		func(t simtime.Time) (float64, simtime.Time) { return float64(tb.Locks.HeldAt(t)), t })
 }
 
 func minf(a, b float64) float64 {
