@@ -1,5 +1,6 @@
 // Per-layer benchmarks of the metric emission path: the sampler's
-// integrator, the SAN model's emission, and the store's component
+// integrator, the SAN model's emission (one batch hour, and the same
+// hour in the fleet's 10-minute chunks), and the store's component
 // index. CI persists them as BENCH_emit.json, with allocs/op.
 package diads_test
 
@@ -60,6 +61,30 @@ func BenchmarkMicro_EmitMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := metrics.NewSampler(tb.Conf.MonitorNoise, tb.Conf.Seed)
 		tb.SAN.EmitMetrics(metrics.NewStore(), sp, hour)
+	}
+}
+
+// BenchmarkMicro_EmitChunked times the fleet's emission shape: one
+// simulated instance-hour (the hour after the SAN fault) through
+// EmitMetrics and EmitNetworkMetrics in 10-minute chunks of two
+// monitoring windows each, on one sampler and store, as a streaming
+// instance emits it.
+func BenchmarkMicro_EmitChunked(b *testing.B) {
+	env := benchTestbed(b)
+	grid := float64(metrics.DefaultMonitorInterval)
+	start := simtime.Time(math.Floor(float64(env.Onset)/grid) * grid)
+	tb := env.Testbed
+	const chunk = 10 * simtime.Minute
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store := metrics.NewStore()
+		sp := metrics.NewSampler(tb.Conf.MonitorNoise, tb.Conf.Seed)
+		for t := start; t < start.Add(simtime.Hour); t = t.Add(chunk) {
+			iv := simtime.NewInterval(t, t.Add(chunk))
+			tb.SAN.EmitMetrics(store, sp, iv)
+			tb.SAN.EmitNetworkMetrics(store, sp, iv, testbed.ServerDB)
+		}
 	}
 }
 

@@ -12,6 +12,16 @@
 // and persisting it as the artifact invites phantom regressions. Run
 // with -benchtime 3x or higher, or pass -allow-single to override
 // (smoke tests only).
+//
+// With -compare BASE.json, the run is also checked against a committed
+// baseline: it fails when any baseline benchmark is missing from the
+// run or its allocs/op exceeds the baseline's by more than -alloc-tol
+// (a fraction; 0.10 allows 10%). Allocation counts are close to
+// deterministic, so they gate; ns/op is printed beside them but only
+// advises, since shared runners make wall time noisy. The baseline is
+// read before -o is written, so both may name the same file.
+//
+//	go test -run '^$' -bench 'BenchmarkMicro_' . | benchjson -o BENCH_emit.json -compare BENCH_emit.json -alloc-tol 0.10
 package main
 
 import (
@@ -19,7 +29,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 )
@@ -46,8 +58,22 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	allowSingle := flag.Bool("allow-single", false,
 		"accept 1-iteration results instead of refusing them")
+	compare := flag.String("compare", "", "baseline JSON to check allocs/op against")
+	allocTol := flag.Float64("alloc-tol", 0.10,
+		"allowed allocs/op increase over the -compare baseline, as a fraction")
 	flag.Parse()
 
+	var base *Document
+	if *compare != "" {
+		data, err := os.ReadFile(*compare)
+		if err != nil {
+			fail(err)
+		}
+		base = &Document{}
+		if err := json.Unmarshal(data, base); err != nil {
+			fail(fmt.Errorf("%s: %w", *compare, err))
+		}
+	}
 	doc, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fail(err)
@@ -80,6 +106,49 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	if base != nil {
+		if regressed := compareAllocs(os.Stderr, base, doc, *allocTol); regressed > 0 {
+			fail(fmt.Errorf("%d benchmark(s) regressed against %s", regressed, *compare))
+		}
+	}
+}
+
+// procSuffix is the GOMAXPROCS suffix go test appends to benchmark
+// names ("-8"); baselines from machines of another width still match.
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// compareAllocs reports every baseline benchmark against the run on w
+// and returns how many regressed: missing from the run, or allocs/op
+// above base × (1 + tol).
+func compareAllocs(w io.Writer, base, run *Document, tol float64) int {
+	byName := make(map[string]Result, len(run.Results))
+	for _, r := range run.Results {
+		byName[procSuffix.ReplaceAllString(r.Name, "")] = r
+	}
+	regressed := 0
+	for _, b := range base.Results {
+		name := procSuffix.ReplaceAllString(b.Name, "")
+		r, ok := byName[name]
+		if !ok {
+			fmt.Fprintf(w, "FAIL %s: in the baseline but not in this run\n", name)
+			regressed++
+			continue
+		}
+		ba, bok := b.Metrics["allocs/op"]
+		ra, rok := r.Metrics["allocs/op"]
+		verdict := "ok  "
+		switch {
+		case !bok || !rok:
+			verdict = "FAIL"
+			regressed++
+		case ra > ba*(1+tol):
+			verdict = "FAIL"
+			regressed++
+		}
+		fmt.Fprintf(w, "%s %s: allocs/op %g -> %g (tolerance +%g%%), ns/op %g -> %g (advisory)\n",
+			verdict, name, ba, ra, tol*100, b.NsPerOp, r.NsPerOp)
+	}
+	return regressed
 }
 
 func parse(sc *bufio.Scanner) (*Document, error) {

@@ -68,8 +68,18 @@ type Sampler struct {
 	// Seed derives the per-series noise streams.
 	Seed int64
 
-	rands map[SeriesKey]*simtime.Rand
-	buf   []Sample // one call's samples, reused across calls
+	handles map[SeriesKey]*handle
+	buf     []Sample // one call's samples, reused across calls
+}
+
+// handle is one series resolved for recording: the store it was last
+// recorded to, that store's series, and the series' noise stream. A
+// record call then costs one sampler lookup; its samples go straight
+// to the series under the store lock.
+type handle struct {
+	store *Store
+	ser   *series
+	noise *simtime.Rand // created on the first noisy record
 }
 
 // NewSampler returns a sampler with the production defaults: 5-minute
@@ -84,18 +94,25 @@ func NewSampler(noiseSigma float64, seed int64) *Sampler {
 	}
 }
 
-// rand returns the noise stream for one series, creating it on first use.
-func (sp *Sampler) rand(component string, metric Metric) *simtime.Rand {
-	k := SeriesKey{Component: component, Metric: metric}
-	if r, ok := sp.rands[k]; ok {
-		return r
+// handle resolves series k in store. The noise stream belongs to the
+// sampler's series, not to the store: recording the same series into
+// another store continues it.
+func (sp *Sampler) handle(store *Store, k SeriesKey) *handle {
+	h := sp.handles[k]
+	if h == nil {
+		if sp.handles == nil {
+			sp.handles = make(map[SeriesKey]*handle)
+		}
+		h = &handle{}
+		sp.handles[k] = h
 	}
-	if sp.rands == nil {
-		sp.rands = make(map[SeriesKey]*simtime.Rand)
+	if h.store != store {
+		h.store, h.ser = store, store.resolve(k)
 	}
-	r := simtime.NewRand(sp.Seed, "sampler/"+k.String())
-	sp.rands[k] = r
-	return r
+	if h.noise == nil && sp.NoiseSigma > 0 {
+		h.noise = simtime.NewRand(sp.Seed, "sampler/"+k.String())
+	}
+	return h
 }
 
 // interval returns the monitoring interval, defaulted.
@@ -106,31 +123,52 @@ func (sp *Sampler) interval() simtime.Duration {
 	return sp.Interval
 }
 
-// record appends one sample per monitoring interval of iv to store
-// under (component, metric), each the jittered value of mean over its
-// interval. Sample timestamps are the interval end points, matching how
-// monitoring agents report. The series' noise stream is looked up once
-// and the samples go to the store in one batch.
-func (sp *Sampler) record(store *Store, component string, metric Metric, iv simtime.Interval, mean func(start, end simtime.Time) float64) {
+// grid calls fn with each monitoring interval of iv, in order: one per
+// Interval from iv.Start, the last cut at iv.End.
+func (sp *Sampler) grid(iv simtime.Interval, fn func(i int, w simtime.Interval)) {
 	step := sp.interval()
-	var noise *simtime.Rand
-	if sp.NoiseSigma > 0 {
-		noise = sp.rand(component, metric)
-	}
-	buf := sp.buf[:0]
+	i := 0
 	for start := iv.Start; start < iv.End; start = start.Add(step) {
 		end := start.Add(step)
 		if end > iv.End {
 			end = iv.End
 		}
-		v := mean(start, end)
+		fn(i, simtime.NewInterval(start, end))
+		i++
+	}
+}
+
+// Windows returns the monitoring intervals of iv that Record and
+// RecordMeans emit one sample each for, in order. Callers computing
+// exact window means in bulk (Timeline.MeansOver) evaluate them over
+// these windows.
+func (sp *Sampler) Windows(iv simtime.Interval) []simtime.Interval {
+	var out []simtime.Interval
+	sp.grid(iv, func(_ int, w simtime.Interval) { out = append(out, w) })
+	return out
+}
+
+// record appends one sample per monitoring interval of iv to store
+// under (component, metric), each the jittered value of mean over its
+// interval. Sample timestamps are the interval end points, matching how
+// monitoring agents report. The samples go to the store in one batch.
+func (sp *Sampler) record(store *Store, component string, metric Metric, iv simtime.Interval, mean func(i int, w simtime.Interval) float64) {
+	k := SeriesKey{Component: component, Metric: metric}
+	h := sp.handle(store, k)
+	var noise *simtime.Rand
+	if sp.NoiseSigma > 0 {
+		noise = h.noise
+	}
+	buf := sp.buf[:0]
+	sp.grid(iv, func(i int, w simtime.Interval) {
+		v := mean(i, w)
 		if noise != nil {
 			v = noise.Jitter(v, sp.NoiseSigma)
 		}
-		buf = append(buf, Sample{T: end, V: v})
-	}
+		buf = append(buf, Sample{T: w.End, V: v})
+	})
 	sp.buf = buf
-	if err := store.appendSeries(component, metric, buf); err != nil {
+	if err := store.appendTo(h.ser, k, buf); err != nil {
 		panic(err)
 	}
 }
@@ -152,7 +190,8 @@ func (sp *Sampler) Record(store *Store, component string, metric Metric, iv simt
 	}
 	var v float64
 	until := simtime.Time(math.Inf(-1))
-	sp.record(store, component, metric, iv, func(start, end simtime.Time) float64 {
+	sp.record(store, component, metric, iv, func(_ int, w simtime.Interval) float64 {
+		start, end := w.Start, w.End
 		var sum float64
 		var n int
 		for t := start; t < end; t = t.Add(sub) {
@@ -170,18 +209,15 @@ func (sp *Sampler) Record(store *Store, component string, metric Metric, iv simt
 	})
 }
 
-// WindowMeanFunc reports the exact time-average of a metric over an
-// interval; used for rate metrics whose averages are linear in the
-// underlying load segments.
-type WindowMeanFunc func(iv simtime.Interval) float64
-
-// RecordWindowMean appends one sample per monitoring interval using exact
-// window means instead of numeric integration. This matches how counters
-// behave in real monitoring agents: a 3-second I/O burst still moves the
-// interval's average by its exact share. The grid-alignment requirement
-// of Record applies here too.
-func (sp *Sampler) RecordWindowMean(store *Store, component string, metric Metric, iv simtime.Interval, fn WindowMeanFunc) {
-	sp.record(store, component, metric, iv, func(start, end simtime.Time) float64 {
-		return fn(simtime.NewInterval(start, end))
+// RecordMeans appends one sample per monitoring interval of iv, the
+// i-th being mean(i): the metric's exact time-average over the i-th
+// window of Windows(iv). This matches how counters behave in real
+// monitoring agents — a 3-second I/O burst still moves the interval's
+// average by its exact share — and lets emitters compute every window
+// mean of a chunk in one pass before recording. The grid-alignment
+// requirement of Record applies here too.
+func (sp *Sampler) RecordMeans(store *Store, component string, metric Metric, iv simtime.Interval, mean func(i int) float64) {
+	sp.record(store, component, metric, iv, func(i int, _ simtime.Interval) float64 {
+		return mean(i)
 	})
 }

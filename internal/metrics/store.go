@@ -68,12 +68,23 @@ func TruncatedTotal() int64 { return truncatedTotal.Load() }
 // window aggregates computed after older segments are dropped subtract
 // exactly the same floating-point values they did before, making
 // truncation bit-invisible to every surviving window query.
+//
+// Each sample is stored beside its prefix sums, so an append writes one
+// place in memory rather than three parallel arrays.
 type segment struct {
 	start   int // absolute index of samples[0] within the series
-	samples []Sample
-	sum     []float64 // sum[i] = Σ series samples[:start+i+1].V
-	sum2    []float64 // sum2[i] = Σ series samples[:start+i+1].V²
+	samples []entry
 }
+
+// entry is one stored sample with the series' cumulative sums through it.
+type entry struct {
+	Sample
+	sum  float64 // Σ series samples[:start+i+1].V
+	sum2 float64 // Σ series samples[:start+i+1].V²
+}
+
+// last returns the segment's newest entry; segments are never empty.
+func (seg *segment) last() entry { return seg.samples[len(seg.samples)-1] }
 
 // series holds one time series as a list of segments plus running prefix
 // sums of value and squared value, so any window aggregate (mean,
@@ -83,11 +94,18 @@ type segment struct {
 // history. Truncation drops whole leading segments and carries their
 // final cumulative sums in baseSum/baseSum2, preserving the absolute
 // anchoring.
+//
+// The newest sample's time and cumulative sums are kept beside the
+// segment list, so the append path's order check and running sums read
+// the series header instead of chasing the tail segment's arrays.
 type series struct {
 	dropped  int     // absolute index of the first retained sample
 	baseSum  float64 // cumulative sum through sample dropped-1
 	baseSum2 float64 // cumulative sum of squares through sample dropped-1
 	segs     []*segment
+	lastT    simtime.Time // T of the newest sample ever appended
+	cum      float64      // cumulative sum through the newest sample
+	cum2     float64      // cumulative sum of squares through the newest sample
 }
 
 // live returns the number of retained samples.
@@ -114,7 +132,7 @@ func (ser *series) locate(abs int) (*segment, int) {
 // at returns the retained sample at absolute index abs.
 func (ser *series) at(abs int) Sample {
 	seg, i := ser.locate(abs)
-	return seg.samples[i]
+	return seg.samples[i].Sample
 }
 
 // cumAt returns the absolute cumulative (sum, sum²) through sample abs.
@@ -124,7 +142,7 @@ func (ser *series) cumAt(abs int) (float64, float64) {
 		return ser.baseSum, ser.baseSum2
 	}
 	seg, i := ser.locate(abs)
-	return seg.sum[i], seg.sum2[i]
+	return seg.samples[i].sum, seg.samples[i].sum2
 }
 
 // searchT returns the absolute index of the first retained sample with
@@ -132,7 +150,7 @@ func (ser *series) cumAt(abs int) (float64, float64) {
 func (ser *series) searchT(t simtime.Time) int {
 	si := sort.Search(len(ser.segs), func(i int) bool {
 		seg := ser.segs[i]
-		return seg.samples[len(seg.samples)-1].T >= t
+		return seg.last().T >= t
 	})
 	if si == len(ser.segs) {
 		return ser.total()
@@ -170,7 +188,9 @@ func (ser *series) copyRange(lo, hi int) []Sample {
 		if hi < end {
 			to = hi - seg.start
 		}
-		out = append(out, seg.samples[from:to]...)
+		for _, e := range seg.samples[from:to] {
+			out = append(out, e.Sample)
+		}
 	}
 	return out
 }
@@ -186,30 +206,22 @@ func (ser *series) tail() *segment {
 }
 
 // append adds one sample with absolute cumulative sums carried from the
-// previous sample (or the truncation base). size is the capacity of any
-// new segment; a partially-filled trailing segment keeps its own.
+// previous sample (through the truncation base when every earlier
+// sample was dropped). size is the capacity of any new segment; a
+// partially-filled trailing segment keeps its own.
 func (ser *series) append(sample Sample, size int) {
-	cum, cum2 := ser.baseSum, ser.baseSum2
 	seg := ser.tail()
-	if seg != nil {
-		i := len(seg.samples) - 1
-		cum, cum2 = seg.sum[i], seg.sum2[i]
-		if len(seg.samples) == cap(seg.samples) {
-			seg = nil
-		}
-	}
-	if seg == nil {
+	if seg == nil || len(seg.samples) == cap(seg.samples) {
 		seg = &segment{
 			start:   ser.total(),
-			samples: make([]Sample, 0, size),
-			sum:     make([]float64, 0, size),
-			sum2:    make([]float64, 0, size),
+			samples: make([]entry, 0, size),
 		}
 		ser.segs = append(ser.segs, seg)
 	}
-	seg.samples = append(seg.samples, sample)
-	seg.sum = append(seg.sum, cum+sample.V)
-	seg.sum2 = append(seg.sum2, cum2+sample.V*sample.V)
+	ser.lastT = sample.T
+	ser.cum += sample.V
+	ser.cum2 += sample.V * sample.V
+	seg.samples = append(seg.samples, entry{sample, ser.cum, ser.cum2})
 }
 
 // truncate drops whole leading segments whose samples all lie strictly
@@ -220,11 +232,11 @@ func (ser *series) truncate(before simtime.Time) int {
 	n := 0
 	for len(ser.segs) > 0 {
 		seg := ser.segs[0]
-		if seg.samples[len(seg.samples)-1].T >= before {
+		last := seg.last()
+		if last.T >= before {
 			break
 		}
-		ser.baseSum = seg.sum[len(seg.sum)-1]
-		ser.baseSum2 = seg.sum2[len(seg.sum2)-1]
+		ser.baseSum, ser.baseSum2 = last.sum, last.sum2
 		ser.dropped += len(seg.samples)
 		n += len(seg.samples)
 		ser.segs[0] = nil
@@ -247,20 +259,27 @@ func (ser *series) truncate(before simtime.Time) int {
 // A sorted per-component metric index, updated when a series is
 // created, answers Keys, Components and MetricsFor without sorting the
 // key set. Series are never removed (truncation empties them), so the
-// index always lists exactly the map's keys.
+// index always lists exactly the map's keys, and a *series resolved
+// once (the Sampler's handles) stays the store's series for good.
 type Store struct {
 	mu     sync.RWMutex
 	seg    int // segment capacity for new segments; 0 = segmentSize
 	series map[SeriesKey]*series
 	comps  []string            // distinct components, sorted
 	byComp map[string][]Metric // each component's metrics, sorted
+	// headBound is a lower bound on every series' first-segment
+	// newest T (+Inf with no retained samples). Truncate drops a
+	// segment only when its newest T lies before the horizon, so a
+	// horizon at or below the bound drops nothing and skips the scan.
+	headBound simtime.Time
 }
 
 // NewStore returns an empty monitoring store.
 func NewStore() *Store {
 	return &Store{
-		series: make(map[SeriesKey]*series),
-		byComp: make(map[string][]Metric),
+		series:    make(map[SeriesKey]*series),
+		byComp:    make(map[string][]Metric),
+		headBound: simtime.Time(math.Inf(1)),
 	}
 }
 
@@ -284,41 +303,56 @@ func (s *Store) SetSegmentSize(n int) {
 // Append records one sample for (component, metric). It returns an error if
 // the sample is out of time order for its series.
 func (s *Store) Append(component string, metric Metric, sample Sample) error {
+	k := SeriesKey{Component: component, Metric: metric}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(SeriesKey{Component: component, Metric: metric}, []Sample{sample})
+	return s.appendLocked(s.resolveLocked(k), k, []Sample{sample})
 }
 
-// appendSeries records samples, in order, for one series under a single
-// lock and map lookup: the sampler's write path, one call per series
-// per emission window. It fails like the equivalent run of Append calls.
-func (s *Store) appendSeries(component string, metric Metric, samples []Sample) error {
+// resolve returns the series k, creating and indexing it on first use.
+// The pointer stays valid for the store's lifetime.
+func (s *Store) resolve(k SeriesKey) *series {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(SeriesKey{Component: component, Metric: metric}, samples)
+	return s.resolveLocked(k)
 }
 
-// appendLocked appends samples to series k, creating and indexing the
-// series on first use. It stops at the first sample older than its
-// predecessor, keeping the samples before it. Callers must hold the
-// write lock.
-func (s *Store) appendLocked(k SeriesKey, samples []Sample) error {
+// resolveLocked is resolve for callers holding the write lock.
+func (s *Store) resolveLocked(k SeriesKey) *series {
 	ser := s.series[k]
 	if ser == nil {
 		ser = &series{}
 		s.series[k] = ser
 		s.index(k)
 	}
+	return ser
+}
+
+// appendTo records samples, in order, to ser — the store's series k,
+// resolved earlier — under a single lock: the sampler's write path, one
+// call per series per emission window. It fails like the equivalent run
+// of Append calls.
+func (s *Store) appendTo(ser *series, k SeriesKey, samples []Sample) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendLocked(ser, k, samples)
+}
+
+// appendLocked appends samples to ser, the series k. It stops at the
+// first sample older than its predecessor, keeping the samples before
+// it. A sample that starts a series' first retained segment lowers the
+// truncation bound. Callers must hold the write lock.
+func (s *Store) appendLocked(ser *series, k SeriesKey, samples []Sample) error {
 	size := s.seg
 	if size == 0 {
 		size = segmentSize
 	}
 	for i, sample := range samples {
-		if seg := ser.tail(); seg != nil {
-			if last := seg.samples[len(seg.samples)-1]; sample.T < last.T {
-				liveSamples.Add(int64(i))
-				return fmt.Errorf("metrics: out-of-order sample for %s: %v after %v", k, sample.T, last.T)
-			}
+		if len(ser.segs) == 0 {
+			s.headBound = min(s.headBound, sample.T)
+		} else if sample.T < ser.lastT {
+			liveSamples.Add(int64(i))
+			return fmt.Errorf("metrics: out-of-order sample for %s: %v after %v", k, sample.T, ser.lastT)
 		}
 		ser.append(sample, size)
 	}
@@ -356,14 +390,26 @@ func (s *Store) MustAppend(component string, metric Metric, sample Sample) {
 // Callers must derive the horizon from the evidence low watermark
 // (monitor warm-up, open-event read windows, undiagnosed run history);
 // truncating past it discards evidence a future diagnosis may read.
+//
+// A horizon at or below every series' oldest droppable segment returns
+// 0 without visiting the series; retention calls Truncate at every
+// barrier, and most horizons fall inside the first segments.
 func (s *Store) Truncate(before simtime.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if before <= s.headBound {
+		return 0
+	}
 	n := 0
-	//lint:allow mapiter per-series truncation is independent and the integer drop count commutes
+	bound := simtime.Time(math.Inf(1))
+	//lint:allow mapiter per-series truncation is independent, the integer drop count commutes, and min is order-free
 	for _, ser := range s.series {
 		n += ser.truncate(before)
+		if len(ser.segs) > 0 {
+			bound = min(bound, ser.segs[0].last().T)
+		}
 	}
+	s.headBound = bound
 	if n > 0 {
 		liveSamples.Add(int64(-n))
 		truncatedTotal.Add(int64(n))

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"diads/internal/simtime"
@@ -137,6 +139,74 @@ func TestTruncateFloatExactProperty(t *testing.T) {
 		got := cut.WindowStats("vol-V1", VolReadIO, iv)
 		if want.N != got.N || want.Sum != got.Sum || want.Mean != got.Mean || want.Std != got.Std {
 			t.Fatalf("trial %d: post-truncation appends diverged:\n  ref %+v\n  cut %+v", trial, want, got)
+		}
+	}
+}
+
+// TestTruncateEarlyOutMatchesFullScan drives two stores through the
+// same random appends and truncations: one truncates as shipped, the
+// other with its bound knocked down so every call scans every series.
+// Drop counts, retained sizes, series contents and window statistics
+// must agree after every step. Series appear throughout the run,
+// including after truncations and starting below the last horizon,
+// and small segments make whole-segment drops frequent.
+func TestTruncateEarlyOutMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 30; trial++ {
+		fast, full := NewStore(), NewStore()
+		size := 2 + rng.Intn(12)
+		fast.SetSegmentSize(size)
+		full.SetSegmentSize(size)
+		var comps []string
+		next := map[string]simtime.Time{} // next sample time per series
+		var horizon simtime.Time
+		earlyOuts := 0
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(10); {
+			case op < 2 || len(comps) == 0: // a new series, starting near the horizon
+				c := fmt.Sprintf("c%d", len(comps))
+				comps = append(comps, c)
+				next[c] = horizon + simtime.Time(rng.Intn(7)-3)*300
+			case op < 8: // a run of samples on one series
+				c := comps[rng.Intn(len(comps))]
+				for i := rng.Intn(3 * size); i >= 0; i-- {
+					smp := Sample{T: next[c], V: rng.NormFloat64() * 100}
+					fast.MustAppend(c, VolReadIO, smp)
+					full.MustAppend(c, VolReadIO, smp)
+					next[c] += simtime.Time(rng.Intn(2)) * 300
+				}
+			default: // truncate, sometimes below the previous horizon
+				horizon += simtime.Time(rng.Intn(5)-1) * 300
+				full.headBound = simtime.Time(math.Inf(-1))
+				want := full.Truncate(horizon)
+				bound := fast.headBound
+				got := fast.Truncate(horizon)
+				if got != want {
+					t.Fatalf("trial %d step %d: Truncate(%v) dropped %d, full scan %d", trial, step, horizon, got, want)
+				}
+				if horizon <= bound {
+					earlyOuts++
+				}
+			}
+			if fast.Len() != full.Len() || fast.Dropped() != full.Dropped() {
+				t.Fatalf("trial %d step %d: len %d/%d dropped %d/%d", trial, step,
+					fast.Len(), full.Len(), fast.Dropped(), full.Dropped())
+			}
+		}
+		if earlyOuts == 0 {
+			t.Fatalf("trial %d: no truncation took the early out", trial)
+		}
+		for _, c := range comps {
+			if got, want := fast.Series(c, VolReadIO), full.Series(c, VolReadIO); !slices.Equal(got, want) {
+				t.Fatalf("trial %d %s: series %v, full scan %v", trial, c, got, want)
+			}
+			for probe := 0; probe < 10; probe++ {
+				start := horizon + simtime.Time(rng.Intn(40)-10)*150
+				iv := simtime.NewInterval(start, start+simtime.Time(rng.Intn(40))*300)
+				if got, want := fast.WindowStats(c, VolReadIO, iv), full.WindowStats(c, VolReadIO, iv); got != want {
+					t.Fatalf("trial %d %s %v: stats %+v, full scan %+v", trial, c, iv, got, want)
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sanperf
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"diads/internal/simtime"
 	"diads/internal/topology"
@@ -56,6 +57,72 @@ type Model struct {
 	seqReads *Timeline // key: volKey(vol) — sequential read IOPS
 	diskUtil *Timeline // key: diskKey(disk) — extra utilization fraction
 	outage   *Timeline // key: diskKey(disk) — 1 while disk out of service
+
+	// Snapshots derived from cfg, each valid at the configuration
+	// generation it records. Concurrent callers may both rebuild one;
+	// the results are identical.
+	layout atomic.Pointer[layout]     // cfg's structure
+	routes atomic.Pointer[portRoutes] // last server's fabric routes
+}
+
+// layout is the configuration's structure as the model's hot paths
+// read it, snapshotted at one configuration generation: components by
+// kind, as Config.All lists them, and pools' disks and volumes and
+// subsystems' pools, as Config.ChildrenOfKind lists them. Config
+// answers each such query by scanning, filtering and sorting into a
+// fresh slice; emission and the pool state ask them at every chunk and
+// change point. The slices are shared and must not be modified.
+type layout struct {
+	gen                                 uint64
+	volumes, disks, pools, subsystems   []topology.ID
+	poolDisks, poolVols, subsystemPools map[topology.ID][]topology.ID
+}
+
+// structure returns the layout of the model's configuration, rebuilt
+// when a mutation advanced the configuration's generation.
+func (m *Model) structure() *layout {
+	cfg := m.cfg
+	if l := m.layout.Load(); l != nil && l.gen == cfg.Generation() {
+		return l
+	}
+	l := &layout{
+		gen:            cfg.Generation(),
+		volumes:        cfg.All(topology.KindVolume),
+		disks:          cfg.All(topology.KindDisk),
+		pools:          cfg.All(topology.KindPool),
+		subsystems:     cfg.All(topology.KindSubsystem),
+		poolDisks:      make(map[topology.ID][]topology.ID),
+		poolVols:       make(map[topology.ID][]topology.ID),
+		subsystemPools: make(map[topology.ID][]topology.ID),
+	}
+	for _, pool := range l.pools {
+		l.poolDisks[pool] = cfg.ChildrenOfKind(pool, topology.KindDisk)
+		l.poolVols[pool] = cfg.VolumesInPool(pool)
+	}
+	for _, ss := range l.subsystems {
+		l.subsystemPools[ss] = cfg.ChildrenOfKind(ss, topology.KindPool)
+	}
+	m.layout.Store(l)
+	return l
+}
+
+// children returns idx[parent], or Config.ChildrenOfKind for a parent
+// the snapshot does not index.
+func (m *Model) children(idx map[topology.ID][]topology.ID, parent topology.ID, kind topology.Kind) []topology.ID {
+	if ids, ok := idx[parent]; ok {
+		return ids
+	}
+	return m.cfg.ChildrenOfKind(parent, kind)
+}
+
+// disksOf returns pool's disks, sorted.
+func (m *Model) disksOf(pool topology.ID) []topology.ID {
+	return m.children(m.structure().poolDisks, pool, topology.KindDisk)
+}
+
+// volumesIn returns pool's volumes, sorted.
+func (m *Model) volumesIn(pool topology.ID) []topology.ID {
+	return m.children(m.structure().poolVols, pool, topology.KindVolume)
 }
 
 // NewModel returns a performance model over the given SAN configuration.
@@ -126,15 +193,24 @@ func (m *Model) diskActive(disk topology.ID, t simtime.Time) bool {
 // disk failed it returns the full set, flagged allFailed, to avoid
 // division by zero; the pool is then fully saturated anyway. The outage
 // state it read holds on [t, until).
+//
+// With every disk in service it returns the pool's shared disk list;
+// callers only read it.
 func (m *Model) activeDisksOf(pool topology.ID, t simtime.Time) (disks []topology.ID, allFailed bool, until simtime.Time) {
-	all := m.cfg.ChildrenOfKind(pool, topology.KindDisk)
+	all := m.disksOf(pool)
 	until = forever
-	for _, d := range all {
+	for i, d := range all {
 		out, u := m.outage.AtUntil(diskKey(d), t)
 		until = min(until, u)
-		if out == 0 {
+		switch {
+		case out != 0 && disks == nil: // first disk out: copy those before it
+			disks = append(make([]topology.ID, 0, len(all)), all[:i]...)
+		case out == 0 && disks != nil:
 			disks = append(disks, d)
 		}
+	}
+	if disks == nil { // every disk in service
+		disks = all
 	}
 	if len(disks) == 0 {
 		return all, true, until
@@ -152,40 +228,6 @@ func (m *Model) VolumeWriteIOPS(vol topology.ID, t simtime.Time) float64 {
 	return m.writes.At(volKey(vol), t)
 }
 
-// MeanReadIOPS returns the exact time-average read IOPS on vol over iv.
-// Rate metrics are linear in the load segments, so monitoring-interval
-// averages can be computed exactly even for bursts much shorter than the
-// monitoring interval.
-func (m *Model) MeanReadIOPS(vol topology.ID, iv simtime.Interval) float64 {
-	return m.reads.MeanOver(volKey(vol), iv)
-}
-
-// MeanWriteIOPS returns the exact time-average write IOPS on vol over iv.
-func (m *Model) MeanWriteIOPS(vol topology.ID, iv simtime.Interval) float64 {
-	return m.writes.MeanOver(volKey(vol), iv)
-}
-
-// MeanSeqReadIOPS returns the exact time-average sequential-read IOPS on
-// vol over iv.
-func (m *Model) MeanSeqReadIOPS(vol topology.ID, iv simtime.Interval) float64 {
-	return m.seqReads.MeanOver(volKey(vol), iv)
-}
-
-// MeanPoolWriteIOPS returns the time-average write IOPS landing on vol's
-// backing disks: the writes of every volume in its pool. This is the
-// array-site ("rank") view a storage controller reports per volume.
-func (m *Model) MeanPoolWriteIOPS(vol topology.ID, iv simtime.Interval) float64 {
-	pool := m.cfg.PoolOf(vol)
-	if pool == "" {
-		return m.MeanWriteIOPS(vol, iv)
-	}
-	var sum float64
-	for _, v := range m.cfg.VolumesInPool(pool) {
-		sum += m.writes.MeanOver(volKey(v), iv)
-	}
-	return sum
-}
-
 // seqFrac returns the sequential fraction of a volume's r read IOPS, of
 // which seq are sequential.
 func seqFrac(seq, r float64) float64 {
@@ -201,7 +243,7 @@ func seqFrac(seq, r float64) float64 {
 // The volume loads it read hold on [t, until).
 func (m *Model) volumeDemand(pool topology.ID, t simtime.Time, n float64) (demand float64, until simtime.Time) {
 	until = forever
-	for _, vol := range m.cfg.VolumesInPool(pool) {
+	for _, vol := range m.volumesIn(pool) {
 		r, ur := m.reads.AtUntil(volKey(vol), t)
 		w, uw := m.writes.AtUntil(volKey(vol), t)
 		sr, us := m.seqReads.AtUntil(volKey(vol), t)

@@ -94,6 +94,50 @@ func (tl *Timeline) MeanOver(key string, iv simtime.Interval) float64 {
 	return weighted / float64(iv.Length())
 }
 
+// MeansOver sets out[i] to MeanOver(key, windows[i]) for every window,
+// bit for bit, under one lock, one lookup and one pass over the key's
+// segments. windows must be in ascending order and pairwise disjoint,
+// as a sampling grid is; out must be as long as windows.
+//
+// Each segment adds its term only to the windows it can touch, found
+// by binary search. The terms it skips are s.V × 0 = ±0, and adding a
+// zero to a sum that started at +0 never changes it, so each window's
+// sum sees the same nonzero terms in the same order as MeanOver's.
+func (tl *Timeline) MeansOver(key string, windows []simtime.Interval, out []float64) {
+	out = out[:len(windows)]
+	clear(out)
+	tl.mu.RLock()
+	for _, s := range tl.segs[key] {
+		// The first window ending at or after the segment's start: the
+		// earliest that can overlap it or, when empty, lie inside it.
+		lo, hi := 0, len(windows)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if windows[mid].End < s.Iv.Start {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		for i := lo; i < len(windows) && windows[i].Start < s.Iv.End; i++ {
+			w := windows[i]
+			if w.Length() <= 0 {
+				if s.Iv.Contains(w.Start) {
+					out[i] += s.V // At's sum
+				}
+				continue
+			}
+			out[i] += s.V * float64(s.Iv.Overlap(w))
+		}
+	}
+	tl.mu.RUnlock()
+	for i, w := range windows {
+		if w.Length() > 0 {
+			out[i] /= float64(w.Length())
+		}
+	}
+}
+
 // Truncate drops segments whose intervals end at or before the horizon
 // and returns how many were dropped. Reads at or above the horizon are
 // bit-identical afterwards: intervals are half-open, so a dropped

@@ -138,3 +138,76 @@ func TestPoolLoadHoldsUntil(t *testing.T) {
 		}
 	}
 }
+
+// randomGrid returns ascending, disjoint windows in the shape a sampler
+// emits — consecutive steps from a random start, the last possibly cut
+// short — with zero-length windows and gaps mixed in.
+func randomGrid(rng *rand.Rand) []simtime.Interval {
+	step := simtime.Duration(1 + rng.Intn(60))
+	t := simtime.Time(rng.Intn(200) - 20)
+	var out []simtime.Interval
+	for i := rng.Intn(12); i >= 0; i-- {
+		switch rng.Intn(6) {
+		case 0: // empty window
+			out = append(out, simtime.NewInterval(t, t))
+		case 1: // gap before the next window
+			t = t.Add(step * simtime.Duration(rng.Intn(3)))
+		}
+		end := t.Add(step)
+		if i == 0 && rng.Intn(2) == 0 {
+			end = t.Add(simtime.Duration(rng.Float64()) * step)
+		}
+		out = append(out, simtime.NewInterval(t, end))
+		t = end
+	}
+	return out
+}
+
+// TestTimelineMeansOverProperty checks that MeansOver equals MeanOver
+// per window, bit for bit, on random timelines: negative and mixed
+// values, segments added out of time order, segments spanning many
+// windows or none, empty windows, and reads after Truncate.
+func TestTimelineMeansOverProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	check := func(trial int, tl *Timeline, windows []simtime.Interval, stage string) {
+		t.Helper()
+		got := make([]float64, len(windows))
+		tl.MeansOver("k", windows, got)
+		for i, w := range windows {
+			if want := tl.MeanOver("k", w); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d %s: window %v: MeansOver %v, MeanOver %v", trial, stage, w, got[i], want)
+			}
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		tl := NewTimeline()
+		for i := rng.Intn(30); i >= 0; i-- {
+			start := simtime.Time(rng.Float64() * 600)
+			length := simtime.Duration(rng.Float64() * 40)
+			if rng.Intn(4) == 0 { // spans many windows
+				length *= 20
+			}
+			if rng.Intn(2) == 0 { // on whole seconds, where window edges lie
+				start, length = simtime.Time(math.Round(float64(start))), simtime.Duration(math.Round(float64(length)))
+			}
+			v := rng.NormFloat64() * math.Exp(rng.Float64()*6)
+			tl.Add("k", simtime.NewInterval(start, start.Add(length)), v, "src")
+		}
+		windows := randomGrid(rng)
+		check(trial, tl, windows, "")
+		check(trial, NewTimeline(), windows, "no segments")
+
+		horizon := simtime.Time(rng.Float64() * 400)
+		before := make([]float64, len(windows))
+		tl.MeansOver("k", windows, before)
+		tl.Truncate(horizon)
+		check(trial, tl, windows, "after Truncate")
+		after := make([]float64, len(windows))
+		tl.MeansOver("k", windows, after)
+		for i, w := range windows {
+			if w.Start >= horizon && math.Float64bits(after[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("trial %d: window %v above horizon %v: %v after Truncate, %v before", trial, w, horizon, after[i], before[i])
+			}
+		}
+	}
+}

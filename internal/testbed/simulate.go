@@ -269,17 +269,18 @@ func (tb *Testbed) emitMetrics(iv simtime.Interval) {
 
 	// Server metrics: CPU from the load timeline (exact interval means, as
 	// a real agent's counters would report); memory mostly flat.
-	tb.Sampler.RecordWindowMean(tb.Store, string(ServerDB), metrics.SrvCPUUsagePct, iv,
-		func(w simtime.Interval) float64 {
-			return 100 * minf(0.08+tb.CPULoad.MeanOver("cpu", w), 1)
-		})
+	windows := tb.Sampler.Windows(iv)
+	means := make([]float64, len(windows))
+	tb.CPULoad.MeansOver("cpu", windows, means)
+	tb.Sampler.RecordMeans(tb.Store, string(ServerDB), metrics.SrvCPUUsagePct, iv,
+		func(i int) float64 { return 100 * minf(0.08+means[i], 1) })
 	tb.Sampler.Record(tb.Store, string(ServerDB), metrics.SrvPhysMemoryPct, iv, metrics.Constant(62))
 	tb.Sampler.Record(tb.Store, string(ServerDB), metrics.SrvProcesses, iv, metrics.Constant(180))
 
 	// Database metrics: per-run activity rates plus lock-manager state.
 	rec := func(metric metrics.Metric, key string) {
-		tb.Sampler.RecordWindowMean(tb.Store, DBInstance, metric, iv,
-			func(w simtime.Interval) float64 { return tb.dbAct.MeanOver(key, w) })
+		tb.dbAct.MeansOver(key, windows, means)
+		tb.Sampler.RecordMeans(tb.Store, DBInstance, metric, iv, func(i int) float64 { return means[i] })
 	}
 	rec(metrics.DBBlocksRead, "blocksread")
 	rec(metrics.DBBufferHits, "bufferhits")

@@ -40,7 +40,16 @@ type Config struct {
 	lunMap map[ID][]ID
 	// Log is the configuration change log and system event stream.
 	Log EventLog
+	// gen counts mutations of everything above: components,
+	// containment, cabling, zoning and LUN mapping.
+	gen uint64
 }
+
+// Generation returns a counter that every configuration mutation
+// advances. A value derived from the configuration (a fabric route
+// table) stays valid while the generation it was computed at is
+// current. The change log is not counted: nothing derived reads it.
+func (c *Config) Generation() uint64 { return c.gen }
 
 // New returns an empty SAN configuration.
 func New() *Config {
@@ -62,6 +71,7 @@ func (c *Config) add(comp *Component) error {
 		return fmt.Errorf("topology: duplicate component ID %q", comp.ID)
 	}
 	c.components[comp.ID] = comp
+	c.gen++
 	return nil
 }
 
@@ -177,6 +187,7 @@ func (c *Config) Cable(a, b ID) error {
 	}
 	c.fabric[a] = append(c.fabric[a], b)
 	c.fabric[b] = append(c.fabric[b], a)
+	c.gen++
 	return nil
 }
 
@@ -189,6 +200,7 @@ func (c *Config) AddZone(name string, ports ...ID) error {
 		}
 	}
 	c.zones = append(c.zones, Zone{Name: name, Members: append([]ID(nil), ports...)})
+	c.gen++
 	return nil
 }
 
@@ -197,6 +209,7 @@ func (c *Config) RemoveZone(name string) bool {
 	for i, z := range c.zones {
 		if z.Name == name {
 			c.zones = append(c.zones[:i], c.zones[i+1:]...)
+			c.gen++
 			return true
 		}
 	}
@@ -208,6 +221,7 @@ func (c *Config) MapLUN(volume, server ID) error {
 	c.mustExist(volume, KindVolume)
 	c.mustExist(server, KindServer)
 	c.lunMap[volume] = append(c.lunMap[volume], server)
+	c.gen++
 	return nil
 }
 
